@@ -20,7 +20,12 @@ Asserted invariants:
   session run (``assert_matches`` — parity is never traded for latency);
 * **bounded TTFR**: time-to-first-record of the streamed path beats the
   buffered path's *total* wall clock (guarded against sub-50 ms runs,
-  where scheduling noise dominates and the comparison is meaningless).
+  where scheduling noise dominates and the comparison is meaningless);
+* **packed pages are smaller**: the same answer streamed as packed
+  ``job-result-page`` lines (the ``Accept`` header ``RemoteJob`` sends)
+  takes fewer bytes per clique than as enveloped ``job-result-chunk``
+  lines (no header).  Both sizes are byte counts, not timings, so the
+  comparison is deterministic.
 
 Peak RSS (``ru_maxrss``) is sampled around each phase and recorded in the
 summary table.  It is reported, not asserted: the high-water mark is
@@ -33,11 +38,12 @@ from __future__ import annotations
 
 import random
 import resource
+import urllib.request
 from time import perf_counter
 
 from repro.api import EnumerationRequest, MiningSession
 from repro.generators.erdos_renyi import random_uncertain_graph
-from repro.service import MiningServer, RemoteSession
+from repro.service import MiningServer, RemoteSession, codec
 
 #: Low threshold → thousands of result cliques, so transfer cost (the
 #: thing streaming pipelines) dominates the measured path.
@@ -62,6 +68,17 @@ def _workload(bench_scale: float):
 
 def _peak_rss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+def _stream_bytes(url: str, job_id: str, accept: "str | None") -> tuple[int, set]:
+    """Total NDJSON bytes of one job's result stream, and its line kinds."""
+    headers = {} if accept is None else {"Accept": accept}
+    request = urllib.request.Request(
+        f"{url}/v2/jobs/{job_id}/results", headers=headers
+    )
+    with urllib.request.urlopen(request, timeout=60) as response:
+        lines = [line for line in response if line.strip()]
+    return sum(map(len, lines)), {codec.decode(line)["kind"] for line in lines}
 
 
 def bench_job_streaming_ttfr(bench_scale, run_once, record_rows):
@@ -93,6 +110,14 @@ def bench_job_streaming_ttfr(bench_scale, run_once, record_rows):
             buffered_total = perf_counter() - buffered_started
             rss_after_buffered = _peak_rss_kb()
 
+            wire = {}
+            for name, accept in (
+                ("chunk", None),
+                ("page", codec.PACKED_RECORDS_MEDIA_TYPE),
+            ):
+                job = remote.submit(request, page_size=PAGE_SIZE)
+                wire[name] = _stream_bytes(server.url, job.id, accept)
+
         return {
             "ttfr": ttfr,
             "count": count,
@@ -102,6 +127,7 @@ def bench_job_streaming_ttfr(bench_scale, run_once, record_rows):
             "buffered_outcome": buffered_outcome,
             "streamed_rss_kb": rss_after_stream - rss_start,
             "buffered_rss_kb": rss_after_buffered - rss_after_stream,
+            "wire": wire,
         }
 
     result = run_once(measure)
@@ -109,6 +135,13 @@ def bench_job_streaming_ttfr(bench_scale, run_once, record_rows):
     result["streamed_outcome"].assert_matches(reference)
     result["buffered_outcome"].assert_matches(reference)
     assert result["count"] == len(reference.records)
+    cliques = len(reference.records)
+    (chunk_bytes, chunk_kinds), (page_bytes, page_kinds) = (
+        result["wire"]["chunk"],
+        result["wire"]["page"],
+    )
+    assert chunk_kinds == {"job-result-chunk"}
+    assert page_kinds == {"job-result-page"}
 
     record_rows(
         "Job streaming",
@@ -124,6 +157,8 @@ def bench_job_streaming_ttfr(bench_scale, run_once, record_rows):
                 "buffered_s": round(result["buffered_total"], 4),
                 "streamed_rss_kb": result["streamed_rss_kb"],
                 "buffered_rss_kb": result["buffered_rss_kb"],
+                "chunk_bytes_per_clique": round(chunk_bytes / max(1, cliques), 1),
+                "page_bytes_per_clique": round(page_bytes / max(1, cliques), 1),
             }
         ],
         columns=[
@@ -136,7 +171,14 @@ def bench_job_streaming_ttfr(bench_scale, run_once, record_rows):
             "buffered_s",
             "streamed_rss_kb",
             "buffered_rss_kb",
+            "chunk_bytes_per_clique",
+            "page_bytes_per_clique",
         ],
+    )
+
+    assert page_bytes < chunk_bytes, (
+        f"packed pages are not smaller: {page_bytes} bytes vs {chunk_bytes} "
+        f"enveloped for {cliques} cliques"
     )
 
     if result["buffered_total"] >= MIN_MEANINGFUL_SECONDS:

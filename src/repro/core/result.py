@@ -13,7 +13,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 from collections.abc import Hashable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from ..uncertain.graph import UncertainGraph
 
@@ -29,20 +30,58 @@ Vertex = Hashable
 Clique = frozenset
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, eq=False)
 class CliqueRecord:
     """One emitted α-maximal clique with its exact clique probability.
 
-    Ordering is by (size, sorted members) so result listings are stable.
+    A record's identity is ``(size, repr-sorted members)``: equality,
+    hashing and ordering use :attr:`sort_key` and ignore the probability,
+    so result listings are stable.  The key is built on first use and
+    cached, so records that are only streamed or encoded never sort.
     """
 
-    sort_key: tuple = field(init=False, repr=False, compare=True)
-    vertices: Clique = field(compare=False)
-    probability: float = field(compare=False)
+    vertices: Clique
+    probability: float
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def sort_key(self) -> tuple:
+        """``(size, members sorted by repr)`` — the record's identity."""
         members = tuple(sorted(self.vertices, key=repr))
-        object.__setattr__(self, "sort_key", (len(members), members))
+        return (len(members), members)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_key == other.sort_key  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.sort_key,))
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_key < other.sort_key  # type: ignore[attr-defined]
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_key <= other.sort_key  # type: ignore[attr-defined]
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_key > other.sort_key  # type: ignore[attr-defined]
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_key >= other.sort_key  # type: ignore[attr-defined]
+
+    def __getstate__(self) -> dict:
+        # Always carry the key, so a record's pickled state does not depend
+        # on whether anything compared it first.
+        self.sort_key
+        return self.__dict__
 
     @property
     def size(self) -> int:

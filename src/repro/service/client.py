@@ -150,11 +150,17 @@ class _HttpClient:
 
         The caller owns the response (and must close it); urllib decodes
         the chunked transfer encoding transparently, so iterating the
-        response yields NDJSON lines as the server flushes them.
+        response yields NDJSON lines as the server flushes them.  The
+        request asks for packed result pages; a server that predates
+        them ignores the header and streams enveloped chunks instead.
         """
         if timeout is None:
             timeout = self._timeout
-        request = urllib.request.Request(self._base_url + path, method="GET")
+        request = urllib.request.Request(
+            self._base_url + path,
+            headers={"Accept": codec.PACKED_RECORDS_MEDIA_TYPE},
+            method="GET",
+        )
         try:
             return urllib.request.urlopen(request, timeout=timeout)
         except urllib.error.HTTPError as exc:
@@ -318,19 +324,32 @@ class RemoteJob:
             raise self._error
 
     def _consume(self, stream) -> Iterator[CliqueRecord]:
-        """Process one connection's NDJSON lines until final chunk or drop."""
+        """Process one connection's NDJSON lines until final chunk or drop.
+
+        Each line is decoded by its kind — packed ``job-result-page`` or
+        enveloped ``job-result-chunk`` — so this works against servers
+        with and without packed pages.  Every chunk must sit exactly at
+        the cursor: a skipped or repeated page would silently lose or
+        duplicate records, so it fails the stream instead.
+        """
         for line in stream:
             line = line.strip()
             if not line:
                 continue
             try:
-                chunk = codec.job_chunk_from_wire(codec.decode(line))
+                chunk = codec.job_stream_line_from_wire(codec.decode(line))
             except FormatError as exc:
                 raise ServiceError(f"malformed result chunk: {exc}") from exc
             if chunk.job != self.id:
                 raise ServiceError(
                     f"result stream for job {self.id} delivered a chunk of "
                     f"job {chunk.job}"
+                )
+            if chunk.seq != self._cursor:
+                raise ServiceError(
+                    f"result stream for job {self.id} delivered chunk "
+                    f"{chunk.seq} at cursor {self._cursor}: a page was "
+                    f"skipped or repeated"
                 )
             if chunk.final:
                 self._summary = chunk.summary

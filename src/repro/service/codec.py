@@ -38,7 +38,7 @@ True
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from typing import Any, NamedTuple
 
@@ -101,6 +101,10 @@ __all__ = [
     "job_summary_from_wire",
     "job_chunk_to_wire",
     "job_chunk_from_wire",
+    "PACKED_RECORDS_MEDIA_TYPE",
+    "job_page_to_wire",
+    "job_page_from_wire",
+    "job_stream_line_from_wire",
     "job_list_to_wire",
     "job_list_from_wire",
     "metrics_to_wire",
@@ -279,6 +283,38 @@ def _vertex_from_wire(value: object, kind: str) -> int | float | str:
     return value
 
 
+#: The exact label types that need no per-vertex check (``bool`` is not
+#: among them, and JSON decoding only ever produces exact types).
+_PLAIN_VERTEX_TYPES = frozenset({int, float, str})
+
+
+def _members_to_wire(record: CliqueRecord) -> list[int | float | str]:
+    """A record's members in canonical order, checked for the wire.
+
+    The order is :meth:`CliqueRecord.as_tuple`'s, sorted here straight
+    into a list: on a large answer the extra tuple copy is a measurable
+    share of encoding a page.
+    """
+    try:
+        members = sorted(record.vertices)
+    except TypeError:
+        members = sorted(record.vertices, key=repr)
+    if _PLAIN_VERTEX_TYPES.issuperset(map(type, members)):
+        return members
+    return [_vertex_to_wire(v) for v in members]
+
+
+def _members_from_wire(raw: list[Any], kind: str) -> frozenset[Any]:
+    """A decoded vertex list as a clique: labels checked, no duplicates."""
+    if not _PLAIN_VERTEX_TYPES.issuperset(map(type, raw)):
+        for value in raw:
+            _vertex_from_wire(value, kind)
+    vertices = frozenset(raw)
+    if len(vertices) != len(raw):
+        raise FormatError(f"{kind}: duplicate vertices")
+    return vertices
+
+
 # ---------------------------------------------------------------------- #
 # CliqueRecord
 # ---------------------------------------------------------------------- #
@@ -290,7 +326,7 @@ def record_to_wire(record: CliqueRecord) -> dict[str, Any]:
     return _envelope(
         "clique-record",
         {
-            "vertices": [_vertex_to_wire(v) for v in record.as_tuple()],
+            "vertices": _members_to_wire(record),
             "probability": record.probability,
         },
     )
@@ -299,11 +335,43 @@ def record_to_wire(record: CliqueRecord) -> dict[str, Any]:
 def record_from_wire(payload: object) -> CliqueRecord:
     payload = _open_envelope(payload, "clique-record", _RECORD_KEYS)
     raw = _field(payload, "clique-record", "vertices", list)
-    vertices = frozenset(_vertex_from_wire(v, "clique-record") for v in raw)
-    if len(vertices) != len(raw):
-        raise FormatError("clique-record: duplicate vertices")
+    vertices = _members_from_wire(raw, "clique-record")
     probability = _number(payload, "clique-record", "probability")
     return CliqueRecord(vertices=vertices, probability=probability)
+
+
+def _packed_record_to_wire(record: CliqueRecord) -> list[Any]:
+    """One record as a bare ``[sorted vertices, probability]`` pair."""
+    return [_members_to_wire(record), record.probability]
+
+
+def _packed_records_from_wire(raw: list[Any], kind: str) -> tuple[CliqueRecord, ...]:
+    """Decode ``[vertices, probability]`` pairs with the envelope's checks."""
+    records: list[CliqueRecord] = []
+    for item in raw:
+        if not isinstance(item, list) or len(item) != 2:
+            raise FormatError(
+                f"{kind}: a packed record must be a [vertices, probability] "
+                f"pair, got {item!r}"
+            )
+        members, probability = item
+        if not isinstance(members, list):
+            raise FormatError(
+                f"{kind}: packed record vertices must be list, got "
+                f"{type(members).__name__}"
+            )
+        if isinstance(probability, bool) or not isinstance(probability, (int, float)):
+            raise FormatError(
+                f"{kind}: packed record probability must be int/float, got "
+                f"{type(probability).__name__}"
+            )
+        records.append(
+            CliqueRecord(
+                vertices=_members_from_wire(members, kind),
+                probability=float(probability),
+            )
+        )
+    return tuple(records)
 
 
 _RECORDS_KEYS = frozenset({"records"})
@@ -935,7 +1003,10 @@ class JobStatus(NamedTuple):
 
 
 class JobChunk(NamedTuple):
-    """A decoded ``job-result-chunk`` envelope: one NDJSON stream line.
+    """A decoded ``job-result-chunk`` or ``job-result-page`` envelope.
+
+    Either kind is one NDJSON stream line; they differ only in how each
+    record is spelled.
 
     Non-final chunks carry only records.  The final chunk carries exactly
     one of ``summary`` (an :class:`EnumerationOutcome` without records —
@@ -1105,18 +1176,21 @@ _JOB_CHUNK_KEYS = frozenset(
 )
 
 
-def job_chunk_to_wire(chunk: JobChunk) -> dict[str, Any]:
-    """Encode one result-stream chunk (a line of ``GET .../results``)."""
+def _check_chunk_shape(chunk: JobChunk, kind: str) -> None:
     if chunk.final:
         if (chunk.summary is None) == (chunk.error is None):
             raise FormatError(
-                "job-result-chunk: a final chunk carries exactly one of "
-                "summary / error"
+                f"{kind}: a final chunk carries exactly one of summary / error"
             )
     elif chunk.summary is not None or chunk.error is not None:
         raise FormatError(
-            "job-result-chunk: summary/error are only valid on the final chunk"
+            f"{kind}: summary/error are only valid on the final chunk"
         )
+
+
+def job_chunk_to_wire(chunk: JobChunk) -> dict[str, Any]:
+    """Encode one result-stream chunk (a line of ``GET .../results``)."""
+    _check_chunk_shape(chunk, "job-result-chunk")
     return _envelope(
         "job-result-chunk",
         {
@@ -1133,12 +1207,42 @@ def job_chunk_to_wire(chunk: JobChunk) -> dict[str, Any]:
     )
 
 
-def job_chunk_from_wire(payload: object) -> JobChunk:
-    payload = _open_envelope(
-        payload, "job-result-chunk", _JOB_CHUNK_KEYS,
-        min_version=SCHEMA_VERSION_V2,
+#: The ``Accept`` value that asks ``GET /v2/jobs/{id}/results`` for
+#: ``job-result-page`` lines (and the ``Content-Type`` of such a stream).
+PACKED_RECORDS_MEDIA_TYPE = "application/x-ndjson; records=packed"
+
+
+def job_page_to_wire(chunk: JobChunk) -> dict[str, Any]:
+    """Encode one result-stream chunk with packed records.
+
+    The ``job-result-page`` kind has the keys of ``job-result-chunk``, but
+    each record is a bare ``[sorted vertices, probability]`` pair instead
+    of a ``clique-record`` envelope — about half the bytes per clique.
+    Servers send it only to clients that ask for it (see
+    ``docs/service.md``, "Packed result pages").
+    """
+    _check_chunk_shape(chunk, "job-result-page")
+    return _envelope(
+        "job-result-page",
+        {
+            "job": chunk.job,
+            "seq": chunk.seq,
+            "records": [_packed_record_to_wire(r) for r in chunk.records],
+            "final": chunk.final,
+            "summary": (
+                None if chunk.summary is None else job_summary_to_wire(chunk.summary)
+            ),
+            "error": None if chunk.error is None else error_to_wire(chunk.error),
+        },
+        version=SCHEMA_VERSION_V2,
     )
-    kind = "job-result-chunk"
+
+
+def _chunk_from_wire(
+    payload: dict[str, Any],
+    kind: str,
+    records_from_wire: Callable[[list[Any]], tuple[CliqueRecord, ...]],
+) -> JobChunk:
     seq = _field(payload, kind, "seq", int)
     if seq < 0:
         raise FormatError(f"{kind}.seq must be >= 0, got {seq}")
@@ -1158,11 +1262,42 @@ def job_chunk_from_wire(payload: object) -> JobChunk:
     return JobChunk(
         job=_field(payload, kind, "job", str),
         seq=seq,
-        records=tuple(record_from_wire(item) for item in raw_records),
+        records=records_from_wire(raw_records),
         final=final,
         summary=None if raw_summary is None else job_summary_from_wire(raw_summary),
         error=None if raw_error is None else error_from_wire(raw_error),
     )
+
+
+def job_chunk_from_wire(payload: object) -> JobChunk:
+    payload = _open_envelope(
+        payload, "job-result-chunk", _JOB_CHUNK_KEYS,
+        min_version=SCHEMA_VERSION_V2,
+    )
+    return _chunk_from_wire(
+        payload,
+        "job-result-chunk",
+        lambda raw: tuple(record_from_wire(item) for item in raw),
+    )
+
+
+def job_page_from_wire(payload: object) -> JobChunk:
+    payload = _open_envelope(
+        payload, "job-result-page", _JOB_CHUNK_KEYS,
+        min_version=SCHEMA_VERSION_V2,
+    )
+    return _chunk_from_wire(
+        payload,
+        "job-result-page",
+        lambda raw: _packed_records_from_wire(raw, "job-result-page"),
+    )
+
+
+def job_stream_line_from_wire(payload: object) -> JobChunk:
+    """Decode one results-stream line, packed or enveloped, by its kind."""
+    if isinstance(payload, dict) and payload.get("kind") == "job-result-page":
+        return job_page_from_wire(payload)
+    return job_chunk_from_wire(payload)
 
 
 _JOB_LIST_KEYS = frozenset({"jobs"})
@@ -1426,6 +1561,7 @@ _DECODERS = {
     "job-status": job_status_from_wire,
     "job-summary": job_summary_from_wire,
     "job-result-chunk": job_chunk_from_wire,
+    "job-result-page": job_page_from_wire,
     "job-list": job_list_from_wire,
     "metrics": metrics_from_wire,
 }

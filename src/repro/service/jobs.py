@@ -9,10 +9,11 @@ runs as a :class:`Job`:
   guarantees the job ends ``cancelled``, returning ``False`` guarantees the
   already-reached terminal state is untouched, so a cancel racing
   completion always settles deterministically);
-* a **bounded page buffer with backpressure** — the producer thread flushes
-  records into fixed-size pages and blocks once ``max_pending_pages`` pages
-  are waiting, so a slow streaming consumer pauses the kernel instead of
-  letting the server buffer an unbounded outcome.  Synchronous jobs use an
+* a **bounded page buffer with backpressure** — the producer thread hands
+  over records a page at a time (one lock acquisition per page, not per
+  record) and blocks once ``max_pending_pages`` pages are waiting, so a
+  slow streaming consumer pauses the kernel instead of letting the server
+  buffer an unbounded outcome.  Synchronous jobs use an
   unbounded buffer (their consumer is ``wait()``, which needs every page);
 * a **live progress view** — the kernel mutates the job's
   :class:`~repro.core.engine.controls.RunReport` in place and only ever
@@ -20,10 +21,11 @@ runs as a :class:`Job`:
   non-decreasing without any extra synchronisation in the hot loop;
 * **cooperative cancellation** — the job owns a
   :class:`~repro.core.engine.controls.CancellationToken` checked by the
-  kernel on the run-controls cadence and by the buffer on every append, so
+  kernel on the run-controls cadence and by the buffer before every page
+  is published (a page that finds the token cancelled is dropped), so
   cancelling a backpressure-blocked producer takes effect immediately and
   truncates at a deterministic record count (``acked + max_pending_pages``
-  pages, for page_size-1 buffers).
+  full pages, for a producer parked on a full buffer).
 
 :class:`JobRegistry` owns the id space and the retention policy: terminal
 jobs stay fetchable (status and un-streamed results) until the finished
@@ -158,7 +160,6 @@ class Job:
         self._page_size = page_size
         self._max_pending = max_pending_pages
         self._pages: "OrderedDict[int, list[CliqueRecord]]" = OrderedDict()
-        self._current: list[CliqueRecord] = []
         self._next_seq = 0
         self._released = 0  # all pages below this seq have been streamed out
         self._records_total = 0
@@ -187,9 +188,14 @@ class Job:
 
     @property
     def records_total(self) -> int:
-        """Records produced so far (buffer-side truth, ahead of the report)."""
+        """Records published to the page buffer so far (a page at a time)."""
         with self._cond:
             return self._records_total
+
+    @property
+    def page_size(self) -> int:
+        """Records per result page; every page but a run's last is full."""
+        return self._page_size
 
     @property
     def token(self) -> CancellationToken:
@@ -320,44 +326,44 @@ class Job:
             self._cond.notify_all()
         return True
 
-    def _append(self, record: CliqueRecord) -> None:
-        """Buffer one record, flushing pages and honouring backpressure.
+    def _append_page(self, records: list[CliqueRecord]) -> None:
+        """Publish one full page of records, honouring backpressure.
 
-        Raises :class:`JobCancelled` the moment the token is cancelled —
-        including while blocked on a full buffer — and
-        :class:`~repro.errors.ServiceError` when the server drains under a
-        blocked producer (the job then settles as ``failed``).
+        The page is handed over whole, under one lock acquisition.
+        Raises :class:`JobCancelled` when the token is cancelled — the
+        page is then dropped — including while blocked on a full buffer,
+        and :class:`~repro.errors.ServiceError` when the server drains
+        under a blocked producer (the job then settles as ``failed``).
         """
         with self._cond:
             if self._token.cancelled:
                 raise JobCancelled
-            self._current.append(record)
-            self._records_total += 1
-            if len(self._current) >= self._page_size:
-                self._flush_locked()
-                parked_at: "float | None" = None
-                try:
-                    while (
-                        self._max_pending is not None
-                        and len(self._pages) >= self._max_pending
-                    ):
-                        if self._token.cancelled:
-                            raise JobCancelled
-                        if self._draining:
-                            raise ServiceError("server shutdown")
-                        if parked_at is None:
-                            parked_at = perf_counter()
-                        self._cond.wait()
-                finally:
-                    if parked_at is not None:
-                        _JOBS_BACKPRESSURE_SECONDS.observe(
-                            perf_counter() - parked_at
-                        )
+            self._publish_locked(records)
+            parked_at: "float | None" = None
+            try:
+                while (
+                    self._max_pending is not None
+                    and len(self._pages) >= self._max_pending
+                ):
+                    if self._token.cancelled:
+                        raise JobCancelled
+                    if self._draining:
+                        raise ServiceError("server shutdown")
+                    if parked_at is None:
+                        parked_at = perf_counter()
+                    self._cond.wait()
+            finally:
+                if parked_at is not None:
+                    _JOBS_BACKPRESSURE_SECONDS.observe(perf_counter() - parked_at)
 
-    def _finish(self) -> None:
-        """running → done (or cancelled, when the token was accepted)."""
+    def _finish(self, tail: list[CliqueRecord]) -> None:
+        """Publish the last, partial page; running → done (or cancelled).
+
+        Like every page, ``tail`` is dropped when the token was cancelled.
+        """
         with self._cond:
-            self._flush_locked()
+            if not self._token.cancelled:
+                self._publish_locked(tail)
             if self._started_at is not None:
                 self._elapsed = perf_counter() - self._started_at
             # Reconcile the counter lag of an abandoned generator: kernels
@@ -384,12 +390,9 @@ class Job:
         consumers and the outcome's own counters/labels become the job's.
         """
         with self._cond:
-            for record in outcome.records:
-                self._current.append(record)
-                self._records_total += 1
-                if len(self._current) >= self._page_size:
-                    self._flush_locked()
-            self._flush_locked()
+            records = outcome.records
+            for start in range(0, len(records), self._page_size):
+                self._publish_locked(records[start : start + self._page_size])
             self.statistics = outcome.statistics
             self.report = outcome.report
             self._algorithm = outcome.algorithm
@@ -412,7 +415,6 @@ class Job:
         with self._cond:
             if self._state in JobState.TERMINAL:
                 return False
-            self._flush_locked()
             if self._started_at is not None:
                 self._elapsed = perf_counter() - self._started_at
             self._error = error
@@ -451,15 +453,15 @@ class Job:
     # ------------------------------------------------------------------ #
     # Internals (all called with the condition held)
     # ------------------------------------------------------------------ #
-    def _flush_locked(self) -> None:
-        if self._current:
+    def _publish_locked(self, records: list[CliqueRecord]) -> None:
+        if records:
             if self._next_seq == 0 and self._started_at is not None:
                 _JOBS_FIRST_RESULT_SECONDS.observe(
                     perf_counter() - self._started_at
                 )
-            self._pages[self._next_seq] = self._current
+            self._pages[self._next_seq] = records
             self._next_seq += 1
-            self._current = []
+            self._records_total += len(records)
             self._cond.notify_all()
 
     def _release(self, seq: int) -> None:

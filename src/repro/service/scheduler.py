@@ -381,11 +381,12 @@ class EnumerationScheduler:
         """Drive one running job to a terminal state.
 
         Streamable requests (serial, unranked) feed the kernel's lazy
-        stream straight into the job's page buffer, with the job's token
-        checked both in the kernel (run-controls cadence) and on every
-        append — so cancellation also reaches a producer blocked on a full
-        buffer.  Ranked/parallel requests materialise through
-        :meth:`MiningSession.enumerate` and adopt the outcome whole.
+        stream into the job's page buffer a full page at a time, with the
+        job's token checked both in the kernel (run-controls cadence) and
+        before each page is published — so cancellation also reaches a
+        producer blocked on a full buffer.  Ranked/parallel requests
+        materialise through :meth:`MiningSession.enumerate` and adopt the
+        outcome whole.
         """
         request = job.request
         if self._streamable(request):
@@ -395,18 +396,23 @@ class EnumerationScheduler:
                 report=job.report,
                 cancel=job.token,
             )
+            page_size = job.page_size
+            page: list[CliqueRecord] = []
             try:
                 for members, probability in stream:
-                    job._append(
+                    page.append(
                         CliqueRecord(vertices=members, probability=probability)
                     )
+                    if len(page) == page_size:
+                        job._append_page(page)
+                        page = []
             except JobCancelled:
-                pass
+                page = []
             finally:
                 stream.close()
-            job._finish()
+            job._finish(page)
         elif job.token.cancelled:
-            job._finish()  # cancelled before the buffered run started
+            job._finish([])  # cancelled before the buffered run started
         else:
             job._adopt(session.enumerate(request))
 

@@ -27,7 +27,9 @@ endpoint                            semantics
 ``GET /v2/jobs``                    list registered jobs (``job-list`` envelope)
 ``GET /v2/jobs/{id}``               one job's live ``job-status``
 ``GET /v2/jobs/{id}/results``       stream result pages as NDJSON chunks
-                                    (``?cursor=N`` resumes mid-stream)
+                                    (``?cursor=N`` resumes mid-stream; an
+                                    ``Accept`` header with ``records=packed``
+                                    selects ``job-result-page`` lines)
 ``DELETE /v2/jobs/{id}``            cancel a job; returns its post-cancel status
 ================================--  ================================================
 
@@ -220,9 +222,10 @@ class _Handler(BaseHTTPRequestHandler):
             job = service.scheduler.jobs.get(job_id)
             if results:
                 cursor = _cursor_param(split.query)
+                packed = _wants_packed_records(self.headers.get("Accept", ""))
                 # Eager cursor validation happens here, *before* any
                 # response bytes — a bad cursor is still a clean 400.
-                self._stream_ndjson(job, job.stream_chunks(cursor))
+                self._stream_ndjson(job, job.stream_chunks(cursor), packed=packed)
             else:
                 self._respond(200, codec.job_status_to_wire(_job_status(job)))
 
@@ -346,18 +349,24 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _stream_ndjson(self, job: Job, chunks) -> None:
+    def _stream_ndjson(self, job: Job, chunks, *, packed: bool) -> None:
         """Write a job's result chunks as a chunked NDJSON response.
 
         One wire envelope per HTTP chunk, flushed immediately, so the
         client observes records as the producer emits them.  A consumer
         that disconnects mid-write never acknowledged the chunk it was
         reading — the generator is closed without releasing that page, so
-        a reconnect at the same cursor resumes exactly there.
+        a reconnect at the same cursor resumes exactly there.  ``packed``
+        selects ``job-result-page`` lines over ``job-result-chunk`` ones.
         """
+        content_type, to_wire = (
+            (codec.PACKED_RECORDS_MEDIA_TYPE, codec.job_page_to_wire)
+            if packed
+            else ("application/x-ndjson", codec.job_chunk_to_wire)
+        )
         self.close_connection = True
         self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Content-Type", content_type)
         self.send_header("Transfer-Encoding", "chunked")
         self.send_header("Connection", "close")
         self.end_headers()
@@ -371,7 +380,7 @@ class _Handler(BaseHTTPRequestHandler):
                     summary=chunk.summary,
                     error=chunk.error,
                 )
-                self._write_http_chunk(codec.encode(codec.job_chunk_to_wire(wire)))
+                self._write_http_chunk(codec.encode(to_wire(wire)))
             self._write_http_chunk(b"")
         except (BrokenPipeError, ConnectionResetError):
             pass
@@ -439,6 +448,22 @@ def _job_path(path: str) -> "tuple[str, bool] | None":
     if len(parts) == 4 and parts[3] == "results":
         return parts[2], True
     return None
+
+
+def _wants_packed_records(accept: str) -> bool:
+    """True when an ``Accept`` header asks for ``records=packed`` NDJSON.
+
+    A header, not a query parameter: servers that predate packed pages
+    ignore an unknown header (and answer ``job-result-chunk`` lines, which
+    every client decodes) but reject an unknown query parameter.
+    """
+    for media_range in accept.split(","):
+        media_type, *params = (
+            part.replace(" ", "").lower() for part in media_range.split(";")
+        )
+        if media_type == "application/x-ndjson" and "records=packed" in params:
+            return True
+    return False
 
 
 def _endpoint_label(path: str) -> str:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import operator
+import pickle
+
 import pytest
 
 from repro.core.result import CliqueRecord, EnumerationResult, SearchStatistics, Stopwatch
@@ -35,6 +40,135 @@ class TestCliqueRecord:
         a = CliqueRecord(vertices=frozenset({1, 2}), probability=0.5)
         b = CliqueRecord(vertices=frozenset({2, 1}), probability=0.5)
         assert a == b
+
+
+def repr_key(vertices) -> tuple:
+    """The record identity, computed independently of the class."""
+    members = tuple(sorted(vertices, key=repr))
+    return (len(members), members)
+
+
+#: Mixed int/float/str labels, including the repr-order corner cases:
+#: strings sort before numbers, "-0.0" sorts before "-1", and ``1`` and
+#: ``1.0`` are equal members with different reprs.
+MIXED = [
+    frozenset({"b", 2, 1.5}),
+    frozenset({"a", 10, 9.0}),
+    frozenset({0, -1}),
+    frozenset({-0.0, -1}),
+    frozenset({1}),
+    frozenset({1.0}),
+    frozenset({"x"}),
+    frozenset({3, 2, "c", 0.25}),
+]
+
+
+class TestCliqueRecordContract:
+    """Equality, hashing, ordering, repr and pickling of a record.
+
+    A record's identity is ``(size, repr-sorted members)``; the
+    probability never takes part.  These pins hold whether or not the
+    key has been computed before the operation under test.
+    """
+
+    @staticmethod
+    def records(probability: float = 0.5) -> list[CliqueRecord]:
+        return [CliqueRecord(vertices=v, probability=probability) for v in MIXED]
+
+    def test_equality_follows_the_repr_key_and_ignores_probability(self):
+        for left in self.records(0.25):
+            for right in self.records(0.75):
+                expected = repr_key(left.vertices) == repr_key(right.vertices)
+                assert (left == right) is expected
+                assert (left != right) is (not expected)
+
+    def test_repr_order_corner_cases(self):
+        ints = CliqueRecord(vertices=frozenset({0, -1}), probability=0.5)
+        floats = CliqueRecord(vertices=frozenset({-0.0, -1}), probability=0.5)
+        # Equal sets, but "-0.0" < "-1" reorders the members: not equal.
+        assert ints.vertices == floats.vertices
+        assert ints != floats
+        assert CliqueRecord(frozenset({1}), 0.5) == CliqueRecord(frozenset({1.0}), 0.5)
+
+    def test_hash_is_the_hash_of_the_wrapped_key(self):
+        for record in self.records():
+            assert hash(record) == hash((repr_key(record.vertices),))
+        assert len(set(self.records(0.1)) | set(self.records(0.9))) == len(
+            {repr_key(v) for v in MIXED}
+        )
+
+    def test_sort_key_attribute(self):
+        for record in self.records():
+            assert record.sort_key == repr_key(record.vertices)
+
+    def test_sorted_matches_the_key(self):
+        # {"x"} is left out: its key does not compare with (1,) (below).
+        records = [r for r in self.records() if r.vertices != {"x"}]
+        expected = sorted(records, key=lambda r: repr_key(r.vertices))
+        assert [r.vertices for r in sorted(records)] == [
+            r.vertices for r in expected
+        ]
+
+    @pytest.mark.parametrize("op", ["lt", "le", "gt", "ge"])
+    def test_rich_comparisons_match_the_key(self, op):
+        compare = getattr(operator, op)
+        for left in self.records():
+            for right in self.records():
+                lk, rk = repr_key(left.vertices), repr_key(right.vertices)
+                try:
+                    expected = compare(lk, rk)
+                except TypeError:
+                    # Same-size keys with unorderable members (1 vs "x")
+                    # raise, for the records as for their keys.
+                    with pytest.raises(TypeError):
+                        compare(left, right)
+                    continue
+                assert compare(left, right) is expected
+
+    def test_comparisons_with_other_types(self):
+        record = CliqueRecord(vertices=frozenset({1}), probability=0.5)
+        assert record != (1, (1,))
+        assert not record == frozenset({1})
+        with pytest.raises(TypeError):
+            record < (1, (1,))  # noqa: B015
+
+    def test_repr_shows_vertices_and_probability_only(self):
+        for record in self.records(0.1):
+            assert repr(record) == (
+                f"CliqueRecord(vertices={record.vertices!r}, probability=0.1)"
+            )
+            hash(record)  # computing the key must not change the repr
+            assert "sort_key" not in repr(record)
+
+    def test_records_are_frozen(self):
+        record = CliqueRecord(vertices=frozenset({1}), probability=0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.probability = 0.25
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.vertices = frozenset({2})
+
+    @pytest.mark.parametrize("touch_key", [False, True], ids=["lazy", "computed"])
+    def test_pickle_round_trip(self, touch_key):
+        for record in self.records(5e-324):
+            if touch_key:
+                hash(record)
+            clone = pickle.loads(pickle.dumps(record))
+            assert clone == record and hash(clone) == hash(record)
+            assert clone.vertices == record.vertices
+            assert clone.probability == record.probability
+            assert repr(clone) == repr(record)
+            assert clone.sort_key == record.sort_key
+            assert copy.copy(record) == record
+            assert copy.deepcopy(record) == record
+
+    def test_pickled_state_carries_the_key(self):
+        record = CliqueRecord(vertices=frozenset({"a", 2}), probability=0.5)
+        state = record.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
+        assert state == {
+            "vertices": frozenset({"a", 2}),
+            "probability": 0.5,
+            "sort_key": (2, ("a", 2)),
+        }
 
 
 class TestSearchStatistics:

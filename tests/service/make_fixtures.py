@@ -244,6 +244,24 @@ def build_payloads() -> dict[str, dict]:
                 summary=mule_outcome,
             )
         ),
+        # The packed form of the same two lines: bare [vertices, p] pairs.
+        "job_result_page_page": codec.job_page_to_wire(
+            codec.JobChunk(
+                job="job-000002",
+                seq=0,
+                records=tuple(mule_outcome.records),
+                final=False,
+            )
+        ),
+        "job_result_page_final": codec.job_page_to_wire(
+            codec.JobChunk(
+                job="job-000002",
+                seq=1,
+                records=(),
+                final=True,
+                summary=mule_outcome,
+            )
+        ),
         "job_list_mixed": codec.job_list_to_wire([status_running, status_done]),
         # ---- schema v2: observability ---- #
         "metrics_snapshot": codec.metrics_to_wire(metrics_snapshot()),

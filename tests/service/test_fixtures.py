@@ -48,6 +48,9 @@ def roundtrip(raw: bytes) -> bytes:
     if kind == "job-result-chunk":
         chunk = codec.job_chunk_from_wire(payload)
         return codec.encode(codec.job_chunk_to_wire(chunk))
+    if kind == "job-result-page":
+        chunk = codec.job_page_from_wire(payload)
+        return codec.encode(codec.job_page_to_wire(chunk))
     if kind == "metrics":
         # A metrics snapshot decodes to a plain dict, which the generic
         # to_wire dispatcher (rightly) refuses to guess a kind for.
@@ -287,6 +290,23 @@ class TestDecodeEquality:
         assert summary.records == []
         assert summary.report.stop_reason == StopReason.COMPLETED
         assert summary.request == EnumerationRequest(algorithm="mule", alpha=0.5)
+
+    @pytest.mark.parametrize("which", ["page", "final"])
+    def test_job_result_page_matches_its_chunk_twin(self, which):
+        # Same keys, same decoded chunk; only the record spelling differs.
+        page = codec.from_wire(self.load(f"job_result_page_{which}"))
+        chunk = codec.from_wire(self.load(f"job_result_chunk_{which}"))
+        assert page._replace(summary=None) == chunk._replace(summary=None)
+        assert [(r.vertices, r.probability) for r in page.records] == [
+            (r.vertices, r.probability) for r in chunk.records
+        ]
+        if which == "final":
+            page.summary.assert_matches(chunk.summary)
+        raw = self.load(f"job_result_page_{which}")
+        assert set(raw) == set(self.load(f"job_result_chunk_{which}"))
+        assert all(
+            isinstance(r, list) and len(r) == 2 for r in raw["records"]
+        )
 
     def test_job_list_mixed(self):
         statuses = codec.from_wire(self.load("job_list_mixed"))

@@ -27,10 +27,11 @@ import pytest
 
 from repro.api import EnumerationRequest, MiningSession
 from repro.core.engine import RunControls, StopReason
+from repro.core.result import CliqueRecord
 from repro.errors import JobError, JobNotFoundError, ParameterError, ServiceError
 from repro.generators.erdos_renyi import random_uncertain_graph
 from repro.service import EnumerationScheduler, JobState, codec
-from repro.service.jobs import JobRegistry
+from repro.service.jobs import Job, JobCancelled, JobRegistry
 
 REQUEST = EnumerationRequest(algorithm="mule", alpha=0.3)
 #: Sentinel alpha the ``failing_compile`` fixture booby-traps.
@@ -275,6 +276,61 @@ class TestBackpressure:
         resumed = list(job.stream_chunks(cursor=chunk0.seq))
         assert resumed[0].records == chunk0.records
         assert resumed[-1].final
+
+
+class TestPagePublishing:
+    """The producer hands records over a full page at a time."""
+
+    @staticmethod
+    def records(n: int) -> list[CliqueRecord]:
+        return [
+            CliqueRecord(vertices=frozenset({i}), probability=1.0)
+            for i in range(n)
+        ]
+
+    def test_pages_publish_whole_and_the_tail_at_finish(self):
+        job = JobRegistry().create(REQUEST, page_size=2)
+        assert job.page_size == 2
+        assert job._begin()
+        first, tail = self.records(2), self.records(3)[2:]
+        job._append_page(first)
+        assert job.records_total == 2
+        job._finish(tail)
+        assert job.state == JobState.DONE
+        chunks = list(job.stream_chunks())
+        assert [list(c.records) for c in chunks[:-1]] == [first, tail]
+        assert chunks[-1].summary.report.cliques_emitted == 3
+
+    def test_cancelled_token_drops_pages_and_tail(self):
+        job = JobRegistry().create(REQUEST, page_size=2)
+        assert job._begin()
+        job._append_page(self.records(2))
+        assert job.cancel() is True
+        with pytest.raises(JobCancelled):
+            job._append_page(self.records(2))
+        job._finish(self.records(1))
+        assert job.state == JobState.CANCELLED
+        assert job.records_total == 2
+        chunks = list(job.stream_chunks())
+        assert len(chunks) == 2 and chunks[-1].final
+        assert chunks[-1].summary.report.cliques_emitted == 2
+        assert chunks[-1].summary.stop_reason == StopReason.CANCELLED
+
+    def test_scheduler_hands_over_one_page_per_call(
+        self, scheduler, serial_outcome, monkeypatch
+    ):
+        pages = []
+        real = Job._append_page
+
+        def spy(self, records):
+            pages.append(len(records))
+            return real(self, records)
+
+        monkeypatch.setattr(Job, "_append_page", spy)
+        job = scheduler.submit_job(REQUEST, page_size=3, max_pending_pages=None)
+        job.wait(timeout=DEADLINE).assert_matches(serial_outcome)
+        total = len(serial_outcome.records)
+        assert pages == [3] * (total // 3)
 
 
 class TestRegistryAndStats:
