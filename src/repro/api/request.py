@@ -118,7 +118,7 @@ class EnumerationRequest:
     kernel:
         Engine kernel backend running the enumeration hot path:
         ``"python"`` (the reference strategy-protocol kernel),
-        ``"vector"`` (the fused word-array kernel, MULE family only), or
+        ``"vector"`` (the fused MULE-family kernel), or
         ``"auto"`` (vector where supported, python otherwise — the
         default).  Independent of ``backend``, which picks where parallel
         shards *run*; this picks how each shard's inner loop runs.  Both

@@ -365,7 +365,7 @@ def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
         choices=["auto", "python", "vector"],
         default="auto",
         help=(
-            "engine kernel backend: vector (fused word-array kernel), "
+            "engine kernel backend: vector (fused MULE-family kernel), "
             "python (reference kernel), or auto (vector where supported; "
             "default).  Results are bit-identical either way."
         ),

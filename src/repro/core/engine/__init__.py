@@ -30,8 +30,6 @@ strategy.
 
 from .backends import (
     KERNELS,
-    KernelCapability,
-    kernel_capabilities,
     resolve_kernel,
     run_kernel_search,
     run_vector_search,
@@ -63,8 +61,6 @@ __all__ = [
     "StopReason",
     "run_search",
     "KERNELS",
-    "KernelCapability",
-    "kernel_capabilities",
     "resolve_kernel",
     "run_kernel_search",
     "run_vector_search",

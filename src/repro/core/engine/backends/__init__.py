@@ -9,8 +9,9 @@ hot path:
     Supports every strategy, including user-defined ones.
 ``vector``
     The fused drivers of
-    :mod:`~repro.core.engine.backends.vector_kernel` over the uint64
-    word-array representation of
+    :mod:`~repro.core.engine.backends.vector_kernel`: one loop per
+    strategy over the compiled big-int adjacency masks, the sorted scan
+    lists and the per-α root plans of
     :mod:`~repro.core.engine.backends.vector_form`.  Supports exactly the
     MULE family (:class:`MuleStrategy`, :class:`TopKStrategy`,
     :class:`LargeCliqueStrategy`) and is bit-identical to the python
@@ -21,20 +22,17 @@ backend (``process``/``inline`` in :mod:`repro.parallel`): one picks how
 each shard's inner loop runs, the other picks where shards run, and the
 two compose freely.
 
-Selection (:func:`resolve_kernel`) is capability-based, never
-import-error-based: ``auto`` picks the vector kernel whenever the
-strategy is supported and quietly stays on python otherwise (DFS-NOIP is
-*defined* by its from-scratch recomputation, so the baseline always runs
-on the python kernel).  numpy is an optional accelerant (install as
-``repro[fast]``) used by the word-array build; without it the vector
-kernel still works on a pure-``array`` representation —
-:func:`kernel_capabilities` reports which flavour is active.
+Selection (:func:`resolve_kernel`) depends on the strategy alone: ``auto``
+picks the vector kernel whenever the strategy is supported and quietly
+stays on python otherwise (DFS-NOIP is *defined* by its from-scratch
+recomputation, so the baseline always runs on the python kernel).  Both
+kernels are pure python and always available.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import Any, NamedTuple
+from typing import Any
 
 from ....errors import ParameterError
 from ...result import SearchStatistics
@@ -47,20 +45,13 @@ from ..strategies import (
     MuleStrategy,
     TopKStrategy,
 )
-from .vector_form import VectorForm, numpy_or_none, reset_numpy_probe, vector_form
 from .vector_kernel import run_vector_search
 
 __all__ = [
     "KERNELS",
-    "KernelCapability",
-    "kernel_capabilities",
     "resolve_kernel",
     "run_kernel_search",
     "run_vector_search",
-    "VectorForm",
-    "vector_form",
-    "numpy_or_none",
-    "reset_numpy_probe",
 ]
 
 #: Valid values of every ``kernel`` parameter in the stack (requests,
@@ -70,53 +61,6 @@ KERNELS = ("auto", "python", "vector")
 # Exact types the fused drivers implement.  Subclasses are excluded on
 # purpose: they may override hooks the drivers never call.
 _VECTOR_STRATEGIES = (MuleStrategy, TopKStrategy, LargeCliqueStrategy)
-
-
-class KernelCapability(NamedTuple):
-    """One kernel backend's availability, as reported by the probe."""
-
-    #: Kernel name (``"python"`` or ``"vector"``).
-    name: str
-    #: Whether the kernel can run at all on this host.
-    available: bool
-    #: Whether the accelerated (numpy word-array) representation is active.
-    accelerated: bool
-    #: Human-readable description of the active representation.
-    detail: str
-
-
-def kernel_capabilities() -> tuple[KernelCapability, ...]:
-    """Probe both kernels and report what this host can run.
-
-    This is the request-time availability story: callers ask, they do not
-    ``import numpy`` and catch.  The vector kernel is *always* available —
-    numpy only switches its word-array build between the accelerated and
-    the pure-``array`` representation.
-
-    >>> [c.name for c in kernel_capabilities()]
-    ['python', 'vector']
-    >>> all(c.available for c in kernel_capabilities())
-    True
-    """
-    np = numpy_or_none()
-    return (
-        KernelCapability(
-            name="python",
-            available=True,
-            accelerated=False,
-            detail="reference strategy-protocol kernel (all strategies)",
-        ),
-        KernelCapability(
-            name="vector",
-            available=True,
-            accelerated=np is not None,
-            detail=(
-                f"uint64 word arrays via numpy {np.__version__}"
-                if np is not None
-                else "uint64 word arrays via pure array('Q') fallback"
-            ),
-        ),
-    )
 
 
 def resolve_kernel(kernel: str, strategy: EnumerationStrategy) -> str:

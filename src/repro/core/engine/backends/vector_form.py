@@ -1,121 +1,41 @@
-"""The word-array compilation stage of the vector kernel backend.
+"""The scan-list and root-plan stage of the vector kernel backend.
 
-:class:`VectorForm` recompiles a :class:`~repro.core.engine.compiled.
-CompiledGraph` into fixed-width machine words and scan-ready neighbor
-lists — the structures the fused drivers of
-:mod:`repro.core.engine.backends.vector_kernel` consume:
+:class:`VectorForm` derives, from one :class:`~repro.core.engine.compiled.
+CompiledGraph`, the structures the fused drivers of
+:mod:`repro.core.engine.backends.vector_kernel` read besides the compiled
+big-int adjacency masks themselves:
 
-* **uint64 word arrays** — every adjacency bitmask split into 64-bit
-  words (one ``numpy`` ``(n, W)`` ``uint64`` matrix when numpy is
-  available, one :class:`array.array` of type code ``'Q'`` per row
-  otherwise).  Word-wise set algebra — intersections, unions, popcounts
-  — runs over these arrays vectorised at compile time: per-vertex degree
-  popcounts come from :func:`numpy.bitwise_count` (a SWAR sweep on the
-  pure-``array`` fallback), and the big-int masks the drivers intersect
-  per node are materialised straight from the word rows.
 * **scan lists** — per-vertex ``(neighbor, probability)`` pairs in
-  ascending index order, split into the higher-index suffix ``GenerateI``
-  walks and the full row ``GenerateX`` walks, so the drivers can choose
-  the cheaper of mask-intersection and list-scan per node.
+  ascending index order, plus the higher-index suffix ``GenerateI``
+  walks, so the drivers can choose the cheaper of mask intersection and
+  list scan per node.
 * **root plans** (:meth:`VectorForm.root_plan`) — per-α precompiled
   depth-1 frames.  After the Observation 3 edge filter every root-level
   survivor test ``q · f · p(e) ≥ α`` is just ``p(e) ≥ α`` (``q = f = 1``
   at the root), so the candidate lists, factor lists, candidate masks and
   exclusion dictionaries of **every** first branch are fully determined
-  by the compiled arrays: the drivers enter depth 1 without scanning at
-  all.  Plans are cached per α on the form, so sweeps and repeated runs
-  pay the build once.
+  by the scan lists: the drivers enter depth 1 without scanning at all.
+  Plans are cached per α on the form, so sweeps and repeated runs pay
+  the build once.
 
 One form is built per compiled artifact and cached on
 ``CompiledGraph.vector_form``; :meth:`CompiledGraph.restrict_roots`
-copies that slot, so parallel shards inherit the compiled word arrays
-instead of rebuilding them per shard.
+copies that slot, so parallel shards inherit the scan lists and root
+plans instead of rebuilding them per shard.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
-from collections.abc import Iterable
 from typing import Any
 
 from ..compiled import CompiledGraph
 
-__all__ = [
-    "VectorForm",
-    "RootPlan",
-    "vector_form",
-    "numpy_or_none",
-    "reset_numpy_probe",
-    "WORD_BITS",
-]
-
-#: Width of one machine word of the vector representation.
-WORD_BITS = 64
-
-_WORD_MASK = (1 << WORD_BITS) - 1
+__all__ = ["VectorForm", "RootPlan", "vector_form"]
 
 #: Bound on cached per-α root plans per form (sweeps touch a handful of
 #: thresholds; an unbounded cache would pin one plan per α of a 500-point
 #: sweep).
 _MAX_ROOT_PLANS = 8
-
-# The numpy probe result: _UNPROBED until the first call, then the module
-# object or None.  Tests monkeypatch ``_numpy_module`` (or set
-# REPRO_DISABLE_NUMPY and call reset_numpy_probe) to exercise the
-# pure-``array`` fallback without uninstalling numpy.
-_UNPROBED = object()
-_numpy_module: Any = _UNPROBED
-
-
-def numpy_or_none() -> Any:
-    """Return the numpy module when usable, ``None`` otherwise.
-
-    The probe runs once and is cached; ``REPRO_DISABLE_NUMPY=1`` masks
-    numpy even when importable (the fallback-path tests and the capability
-    probe use this).  Absence is a capability, not an error — callers get
-    the pure-``array`` word representation instead.
-    """
-    global _numpy_module
-    if _numpy_module is _UNPROBED:
-        if os.environ.get("REPRO_DISABLE_NUMPY"):
-            _numpy_module = None
-        else:
-            try:
-                import numpy
-            except ImportError:
-                _numpy_module = None
-            else:
-                _numpy_module = numpy
-    return _numpy_module
-
-
-def reset_numpy_probe() -> None:
-    """Forget the cached numpy probe (re-reads REPRO_DISABLE_NUMPY)."""
-    global _numpy_module
-    _numpy_module = _UNPROBED
-
-
-def _mask_to_words(mask: int, word_count: int) -> list[int]:
-    """Split an arbitrary-precision bitmask into ``word_count`` uint64 words."""
-    return [
-        (mask >> (WORD_BITS * k)) & _WORD_MASK for k in range(word_count)
-    ]
-
-
-def _words_to_mask(words: Iterable[Any]) -> int:
-    """Rebuild the big-int bitmask from its little-endian word sequence."""
-    mask = 0
-    shift = 0
-    for word in words:
-        mask |= int(word) << shift
-        shift += WORD_BITS
-    return mask
-
-
-def _popcount_words_swar(words: Iterable[Any]) -> int:
-    """Population count of a word sequence (the pure-``array`` path)."""
-    return sum(int(word).bit_count() for word in words)
 
 
 class RootPlan:
@@ -149,62 +69,21 @@ class RootPlan:
 
 
 class VectorForm:
-    """Word arrays + scan lists compiled from one :class:`CompiledGraph`.
+    """Scan lists and per-α root plans compiled from one :class:`CompiledGraph`.
 
     Attributes
     ----------
-    n, word_count:
-        Vertex count and uint64 words per adjacency row.
-    words:
-        The adjacency matrix as machine words: a ``numpy`` ``(n, W)``
-        ``uint64`` array, or a list of ``array('Q')`` rows on the
-        pure-python fallback.
-    uses_numpy:
-        Which of the two representations :attr:`words` is.
-    degrees:
-        Per-vertex degree, popcounted from the word rows (vectorised via
-        ``numpy.bitwise_count`` when available).
+    n:
+        Vertex count.
     items, items_higher:
         Per-vertex ``(neighbor, probability)`` scan lists in ascending
         order; ``items_higher[u]`` keeps only neighbors ``> u``.
     """
 
-    __slots__ = (
-        "n",
-        "word_count",
-        "words",
-        "uses_numpy",
-        "degrees",
-        "items",
-        "items_higher",
-        "_root_plans",
-    )
+    __slots__ = ("n", "items", "items_higher", "_root_plans")
 
     def __init__(self, compiled: CompiledGraph) -> None:
-        n = compiled.n
-        self.n = n
-        self.word_count = max(1, (n + WORD_BITS - 1) // WORD_BITS)
-        np = numpy_or_none()
-        self.uses_numpy = np is not None
-        word_rows = [
-            _mask_to_words(mask, self.word_count)
-            for mask in compiled.adjacency_mask
-        ]
-        if np is not None:
-            words = np.array(word_rows, dtype=np.uint64).reshape(
-                n, self.word_count
-            )
-            self.words = words
-            if hasattr(np, "bitwise_count"):
-                degrees = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-            else:  # pragma: no cover - numpy < 2.0
-                degrees = np.unpackbits(
-                    words.view(np.uint8), axis=1
-                ).sum(axis=1, dtype=np.int64)
-            self.degrees = [int(d) for d in degrees]
-        else:
-            self.words = [array("Q", row) for row in word_rows]
-            self.degrees = [_popcount_words_swar(row) for row in self.words]
+        self.n = compiled.n
         self.items = [
             sorted(row.items()) for row in compiled.adjacency_probability
         ]
@@ -213,10 +92,6 @@ class VectorForm:
             for u, pairs in enumerate(self.items)
         ]
         self._root_plans: dict[float, RootPlan] = {}
-
-    def mask_of(self, u: int) -> int:
-        """Rebuild vertex ``u``'s adjacency bitmask from its word row."""
-        return _words_to_mask(self.words[u])
 
     def root_plan(self, alpha: float) -> RootPlan:
         """Return the depth-1 frame plan for threshold ``alpha``, cached.
@@ -268,7 +143,7 @@ def vector_form(compiled: CompiledGraph) -> VectorForm:
 
     The form is stored on ``compiled.vector_form``:
     :meth:`CompiledGraph.restrict_roots` copies the slot, so every shard
-    view of one artifact shares one set of word arrays.
+    view of one artifact shares one set of scan lists and root plans.
     """
     form = compiled.vector_form
     if form is None:

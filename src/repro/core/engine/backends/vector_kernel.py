@@ -1,11 +1,12 @@
-"""The vector kernel: fused drivers over the word-array representation.
+"""The vector kernel: fused drivers over scan lists and root plans.
 
 :func:`run_vector_search` is a drop-in replacement for
 :func:`repro.core.engine.kernel.run_search` for the MULE strategy family
 (:class:`MuleStrategy`, :class:`TopKStrategy`,
 :class:`LargeCliqueStrategy`).  Instead of dispatching through the
 strategy protocol once per node, each driver fuses the kernel walk and
-the strategy bookkeeping into a single loop over the structures of
+the strategy bookkeeping into a single loop over the compiled graph's
+big-int adjacency masks and the scan lists and root plans of
 :class:`~repro.core.engine.backends.vector_form.VectorForm`:
 
 * **root plans** — every depth-1 frame (candidate lists, factors, masks,
@@ -14,8 +15,9 @@ the strategy bookkeeping into a single loop over the structures of
 * **side-choosing candidate scans** — per node the driver picks the
   cheapest of three ``GenerateI`` realisations: a scan of the (sorted)
   higher-neighbor list, a scan of the remaining candidate tail, or
-  extraction from the word-array bitmask intersection, switching on
-  which side is smaller (``_SCAN_CUTOFF``);
+  extraction from the big-int intersection of the candidate mask with
+  the vertex's adjacency mask, switching on which side is smaller
+  (``_SCAN_CUTOFF``);
 * **lazy exclusion sets** — ``GenerateX`` materialises the exclusion
   dictionary only for nodes that are descended into; childless nodes run
   an existence-only survivor probe (the O(1) maximality test needs just

@@ -97,10 +97,11 @@ class CompiledGraph:
             self.all_mask ^ ((1 << (i + 1)) - 1) for i in range(self.n)
         ]
         self.root_mask = self.all_mask
-        # Lazily-built word-array view of this artifact (see
-        # repro.core.engine.backends.vector_form).  restrict_roots copies the
-        # slot, so shard views inherit the compiled word arrays; derived
-        # artifacts (restrict_probability) start from None and build their own.
+        # Lazily-built scan lists and root plans of this artifact for the
+        # vector kernel (see repro.core.engine.backends.vector_form).
+        # restrict_roots copies the slot, so shard views inherit them;
+        # derived artifacts (restrict_probability) start from None and build
+        # their own.
         self.vector_form = None
 
     @classmethod

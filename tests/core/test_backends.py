@@ -1,18 +1,26 @@
-"""The kernel backend layer: capabilities, vector form, dispatch, parity.
+"""The kernel backend layer: resolution, vector form, dispatch, parity.
 
 The vector backend's contract is *bit-identical observability*: for every
 algorithm it supports, ``run_vector_search`` must emit the same cliques in
 the same order with the same float probabilities, the same
 :class:`SearchStatistics` counters and the same :class:`RunReport` as the
 reference python kernel.  These tests pin that on fixed graphs (the
-property suite covers random ones), plus the plumbing around it: the
-capability probe, kernel resolution, the numpy-free fallback and the
-shard inheritance of the compiled word arrays.
+property suite covers random ones), plus the plumbing around it: kernel
+resolution, the scan lists the drivers read and the shard inheritance of
+the cached vector form.
 """
 
 from __future__ import annotations
 
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.core.engine import (
     KERNELS,
@@ -23,27 +31,12 @@ from repro.core.engine import (
     RunReport,
     TopKStrategy,
     compile_graph,
-    kernel_capabilities,
     resolve_kernel,
     run_kernel_search,
     run_search,
     run_vector_search,
 )
-import importlib
-
-# ``backends.__init__`` re-exports the ``vector_form`` *function* under the
-# same name as its defining submodule, so plain attribute-style imports
-# resolve to the function; the module itself is fetched explicitly.
-vector_form_module = importlib.import_module(
-    "repro.core.engine.backends.vector_form"
-)
-
-from repro.core.engine.backends import vector_form
-from repro.core.engine.backends.vector_form import (
-    VectorForm,
-    numpy_or_none,
-    reset_numpy_probe,
-)
+from repro.core.engine.backends.vector_form import vector_form
 from repro.core.result import SearchStatistics
 from repro.errors import ParameterError
 from repro.uncertain.graph import UncertainGraph
@@ -51,7 +44,7 @@ from repro.uncertain.graph import UncertainGraph
 
 @pytest.fixture
 def medium_graph() -> UncertainGraph:
-    """A 70-vertex pseudo-random graph (spans multiple uint64 words)."""
+    """A 70-vertex pseudo-random graph (masks wider than one machine word)."""
     import random
 
     rng = random.Random(20150413)
@@ -90,32 +83,6 @@ def _assert_bit_identical(compiled, alpha, strategy_factory, controls=None):
     assert vec[2].cliques_emitted == py[2].cliques_emitted
     assert vec[2].frames_expanded == py[2].frames_expanded
     return py
-
-
-class TestCapabilities:
-    def test_probe_lists_both_kernels(self):
-        caps = {c.name: c for c in kernel_capabilities()}
-        assert set(caps) == {"python", "vector"}
-        assert all(c.available for c in caps.values())
-        assert caps["python"].accelerated is False
-
-    def test_vector_acceleration_tracks_numpy(self):
-        vector = next(c for c in kernel_capabilities() if c.name == "vector")
-        assert vector.accelerated == (numpy_or_none() is not None)
-
-    def test_numpy_masked_probe(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        reset_numpy_probe()
-        try:
-            assert numpy_or_none() is None
-            vector = next(
-                c for c in kernel_capabilities() if c.name == "vector"
-            )
-            assert vector.available
-            assert not vector.accelerated
-        finally:
-            monkeypatch.delenv("REPRO_DISABLE_NUMPY")
-            reset_numpy_probe()
 
 
 class TestResolution:
@@ -159,13 +126,14 @@ class TestResolution:
 
 
 class TestVectorForm:
-    def test_words_roundtrip_adjacency(self, medium_graph):
+    def test_scan_lists_mirror_adjacency(self, medium_graph):
         compiled = compile_graph(medium_graph, alpha=0.1)
         form = vector_form(compiled)
-        assert form.word_count == 2  # 70 vertices -> two uint64 words
+        assert form.n == compiled.n
         for u in range(compiled.n):
-            assert form.mask_of(u) == compiled.adjacency_mask[u]
-            assert form.degrees[u] == compiled.adjacency_mask[u].bit_count()
+            items = sorted(compiled.adjacency_probability[u].items())
+            assert form.items[u] == items
+            assert form.items_higher[u] == [(w, p) for w, p in items if w > u]
 
     def test_form_is_cached_on_compiled(self, triangle):
         compiled = compile_graph(triangle, alpha=0.5)
@@ -185,17 +153,46 @@ class TestVectorForm:
             form.root_plan(k / 40.0)
         assert len(form._root_plans) <= 8
 
-    def test_pure_fallback_matches_numpy_form(self, medium_graph, monkeypatch):
-        compiled = compile_graph(medium_graph, alpha=0.1)
-        accelerated = VectorForm(compiled)
-        monkeypatch.setattr(vector_form_module, "_numpy_module", None)
-        pure = VectorForm(compiled)
-        assert not pure.uses_numpy
-        assert pure.degrees == accelerated.degrees
+    @pytest.mark.parametrize("alpha", [0.9, 0.5, 0.1])
+    def test_root_plan_matches_scan_lists(self, medium_graph, alpha):
+        # Without the compile-time edge filter the plan applies p(e) >= alpha.
+        compiled = compile_graph(medium_graph, alpha=None)
+        form = vector_form(compiled)
+        plan = form.root_plan(alpha)
         for u in range(compiled.n):
-            assert pure.mask_of(u) == accelerated.mask_of(u)
-        assert pure.items == accelerated.items
-        assert pure.items_higher == accelerated.items_higher
+            kept = [(w, p) for w, p in form.items[u] if p >= alpha]
+            higher = [(w, p) for w, p in kept if w > u]
+            lower = {w: p for w, p in kept if w < u}
+            assert plan.cand[u] == [w for w, _ in higher]
+            assert plan.factors[u] == [p for _, p in higher]
+            assert plan.cand_mask[u] == sum(1 << w for w, _ in higher)
+            assert plan.x_factor[u] == lower
+            assert plan.x_mask[u] == sum(1 << w for w in lower)
+
+    def test_backends_package_does_not_shadow_submodule(self):
+        import repro.core.engine.backends as backends
+
+        assert inspect.ismodule(backends.vector_form)
+
+    def test_sweep_imports_no_third_party_array_library(self):
+        # A fresh interpreter running a vector-kernel sweep never imports numpy.
+        script = (
+            "import sys\n"
+            "from repro import MiningSession\n"
+            "from repro.uncertain.graph import UncertainGraph\n"
+            "g = UncertainGraph()\n"
+            "g.add_edge(0, 1, 0.9); g.add_edge(1, 2, 0.8); g.add_edge(0, 2, 0.7)\n"
+            "outcomes = MiningSession(g).sweep([0.1, 0.5], kernel='vector')\n"
+            "assert all(o.num_cliques for o in outcomes)\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestParity:
@@ -265,10 +262,12 @@ class TestParity:
         ) == sorted((tuple(sorted(c, key=repr)), p) for c, p in reference)
 
     def test_parity_on_pure_fallback(self, medium_graph, monkeypatch):
-        monkeypatch.setattr(vector_form_module, "_numpy_module", None)
+        # With numpy unimportable a freshly built form stays bit-identical.
+        monkeypatch.setitem(sys.modules, "numpy", None)
         compiled = compile_graph(medium_graph, alpha=0.1)
-        assert not vector_form(compiled).uses_numpy
+        assert compiled.vector_form is None
         _assert_bit_identical(compiled, 0.1, MuleStrategy)
+        assert vector_form(compiled) is compiled.vector_form
 
     def test_empty_graph(self):
         compiled = compile_graph(UncertainGraph(), alpha=0.5)

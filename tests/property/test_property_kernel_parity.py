@@ -4,7 +4,7 @@ The vector backend must be observationally indistinguishable from the
 python kernel: same emission stream (order included), bit-identical
 probabilities, equal :class:`SearchStatistics` and equal
 :class:`RunReport` — for every supported algorithm, under run controls,
-under sharding, and on the numpy-free fallback.  The fixed-graph versions
+under sharding, and with numpy unimportable.  The fixed-graph versions
 of these checks live in ``tests/core/test_backends.py``; here hypothesis
 supplies the graphs.
 
@@ -16,6 +16,9 @@ from-scratch baseline.
 """
 
 from __future__ import annotations
+
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -157,19 +160,11 @@ class TestKernelParity:
     @RELAXED
     @given(graph=uncertain_graphs(), alpha=alphas)
     def test_numpy_free_fallback(self, graph, alpha):
-        import importlib
-
-        module = importlib.import_module(
-            "repro.core.engine.backends.vector_form"
-        )
-        saved = module._numpy_module
-        module._numpy_module = None
-        try:
+        # The vector kernel depends on no third-party array library.
+        with mock.patch.dict(sys.modules, {"numpy": None}):
             _assert_identical(
                 compile_graph(graph, alpha=alpha), alpha, MuleStrategy
             )
-        finally:
-            module._numpy_module = saved
 
 
 class TestSessionParity:
