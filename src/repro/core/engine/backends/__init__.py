@@ -8,14 +8,15 @@ hot path:
     pluggable :class:`~repro.core.engine.strategies.EnumerationStrategy`.
     Supports every strategy, including user-defined ones.
 ``vector``
-    The fused drivers of
-    :mod:`~repro.core.engine.backends.vector_kernel`: one loop per
-    strategy over the compiled big-int adjacency masks, the sorted scan
-    lists and the per-α root plans of
+    The fused walk of :mod:`~repro.core.engine.backends.vector_kernel`
+    over the compiled big-int adjacency masks, the sorted scan lists and
+    the per-α root plans of
     :mod:`~repro.core.engine.backends.vector_form`.  Supports exactly the
     MULE family (:class:`MuleStrategy`, :class:`TopKStrategy`,
-    :class:`LargeCliqueStrategy`) and is bit-identical to the python
-    kernel on them — cliques, probabilities, stop reasons and statistics.
+    :class:`LargeCliqueStrategy`; the table
+    :data:`~repro.core.engine.backends.vector_kernel.VECTOR_STRATEGIES`)
+    and is bit-identical to the python kernel on them — cliques,
+    probabilities, stop reasons and statistics.
 
 The kernel axis is deliberately independent of the parallel *execution*
 backend (``process``/``inline`` in :mod:`repro.parallel`): one picks how
@@ -39,13 +40,8 @@ from ...result import SearchStatistics
 from ..compiled import CompiledGraph
 from ..controls import CancellationToken, RunControls, RunReport
 from ..kernel import run_search
-from ..strategies import (
-    EnumerationStrategy,
-    LargeCliqueStrategy,
-    MuleStrategy,
-    TopKStrategy,
-)
-from .vector_kernel import run_vector_search
+from ..strategies import EnumerationStrategy
+from .vector_kernel import VECTOR_STRATEGIES, run_vector_search
 
 __all__ = [
     "KERNELS",
@@ -58,16 +54,12 @@ __all__ = [
 #: CLI flags, wire schema v2, scheduler defaults).
 KERNELS = ("auto", "python", "vector")
 
-# Exact types the fused drivers implement.  Subclasses are excluded on
-# purpose: they may override hooks the drivers never call.
-_VECTOR_STRATEGIES = (MuleStrategy, TopKStrategy, LargeCliqueStrategy)
-
 
 def resolve_kernel(kernel: str, strategy: EnumerationStrategy) -> str:
     """Resolve a requested kernel name against a strategy's capabilities.
 
     Returns ``"python"`` or ``"vector"``.  ``auto`` prefers the vector
-    kernel when the strategy is one the fused drivers implement and falls
+    kernel when the strategy is one the fused walk implements and falls
     back to python otherwise; an *explicit* ``vector`` request for an
     unsupported strategy is a :class:`~repro.errors.ParameterError` —
     silently ignoring it would misreport what was measured.
@@ -76,7 +68,7 @@ def resolve_kernel(kernel: str, strategy: EnumerationStrategy) -> str:
         raise ParameterError(
             f"unknown kernel {kernel!r}; expected one of {', '.join(KERNELS)}"
         )
-    supported = type(strategy) in _VECTOR_STRATEGIES
+    supported = type(strategy) in VECTOR_STRATEGIES
     if kernel == "python":
         return "python"
     if kernel == "vector":

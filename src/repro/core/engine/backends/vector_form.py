@@ -1,20 +1,20 @@
 """The scan-list and root-plan stage of the vector kernel backend.
 
 :class:`VectorForm` derives, from one :class:`~repro.core.engine.compiled.
-CompiledGraph`, the structures the fused drivers of
-:mod:`repro.core.engine.backends.vector_kernel` read besides the compiled
+CompiledGraph`, the structures the fused walk of
+:mod:`repro.core.engine.backends.vector_kernel` reads besides the compiled
 big-int adjacency masks themselves:
 
 * **scan lists** — per-vertex ``(neighbor, probability)`` pairs in
   ascending index order, plus the higher-index suffix ``GenerateI``
-  walks, so the drivers can choose the cheaper of mask intersection and
+  walks, so the walk can choose the cheaper of mask intersection and
   list scan per node.
 * **root plans** (:meth:`VectorForm.root_plan`) — per-α precompiled
   depth-1 frames.  After the Observation 3 edge filter every root-level
   survivor test ``q · f · p(e) ≥ α`` is just ``p(e) ≥ α`` (``q = f = 1``
   at the root), so the candidate lists, factor lists, candidate masks and
   exclusion dictionaries of **every** first branch are fully determined
-  by the scan lists: the drivers enter depth 1 without scanning at all.
+  by the scan lists: the walk enters depth 1 without scanning at all.
   Plans are cached per α on the form, so sweeps and repeated runs pay
   the build once.
 

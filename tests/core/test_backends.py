@@ -6,8 +6,8 @@ the same order with the same float probabilities, the same
 :class:`SearchStatistics` counters and the same :class:`RunReport` as the
 reference python kernel.  These tests pin that on fixed graphs (the
 property suite covers random ones), plus the plumbing around it: kernel
-resolution, the scan lists the drivers read and the shard inheritance of
-the cached vector form.
+resolution, the scan lists the fused walk reads and the shard inheritance
+of the cached vector form.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import inspect
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,21 @@ def medium_graph() -> UncertainGraph:
             if rng.random() < 0.12:
                 graph.add_edge(u, v, round(rng.uniform(0.05, 1.0), 6))
     return graph
+
+
+#: Every stock strategy the vector kernel runs, for the run-control cases.
+FAMILY = pytest.mark.parametrize(
+    "strategy_factory",
+    [
+        MuleStrategy,
+        partial(TopKStrategy, min_size=2),
+        partial(TopKStrategy, min_size=3),
+        partial(LargeCliqueStrategy, 2),
+        partial(LargeCliqueStrategy, 3),
+        partial(LargeCliqueStrategy, 4),
+    ],
+    ids=["mule", "topk2", "topk3", "large2", "large3", "large4"],
+)
 
 
 def _observed(kernel_run):
@@ -110,7 +126,7 @@ class TestResolution:
             resolve_kernel("vector", NoIncrementalStrategy())
 
     def test_strategy_subclasses_are_not_assumed_supported(self):
-        # The drivers bake in the exact semantics of the stock strategies;
+        # The walk bakes in the exact semantics of the stock strategies;
         # a subclass may override any hook, so only exact types vectorise.
         class Sneaky(MuleStrategy):
             pass
@@ -137,6 +153,7 @@ class TestVectorForm:
 
     def test_form_is_cached_on_compiled(self, triangle):
         compiled = compile_graph(triangle, alpha=0.5)
+        assert compiled.vector_form is None  # built lazily, on first use
         assert vector_form(compiled) is vector_form(compiled)
         assert compiled.vector_form is vector_form(compiled)
 
@@ -223,51 +240,50 @@ class TestParity:
             compiled, 0.1, lambda: TopKStrategy(min_size=min_size)
         )
 
+    @FAMILY
     @pytest.mark.parametrize("max_cliques", [1, 7, 50])
-    def test_max_cliques_bit_identical(self, medium_graph, max_cliques):
+    def test_max_cliques_bit_identical(
+        self, medium_graph, max_cliques, strategy_factory
+    ):
         compiled = compile_graph(medium_graph, alpha=0.05)
         _assert_bit_identical(
             compiled,
             0.05,
-            MuleStrategy,
+            strategy_factory,
             controls=RunControls(max_cliques=max_cliques),
         )
 
+    @FAMILY
     @pytest.mark.parametrize("check_every", [1, 3, 64])
-    def test_expired_time_budget_bit_identical(self, medium_graph, check_every):
+    def test_expired_time_budget_bit_identical(
+        self, medium_graph, check_every, strategy_factory
+    ):
         # A zero budget makes the deadline path deterministic: both kernels
         # must stop at exactly the same frame for every check cadence.
         compiled = compile_graph(medium_graph, alpha=0.05)
         _assert_bit_identical(
             compiled,
             0.05,
-            MuleStrategy,
+            strategy_factory,
             controls=RunControls(
                 time_budget_seconds=0.0, check_every_frames=check_every
             ),
         )
 
-    def test_sharded_roots_bit_identical(self, medium_graph):
+    @FAMILY
+    def test_sharded_roots_bit_identical(self, medium_graph, strategy_factory):
         compiled = compile_graph(medium_graph, alpha=0.1)
         full_mask = compiled.all_mask
         shard_masks = [full_mask & 0x3FF, full_mask & ~0x3FF]
         merged = []
         for mask in shard_masks:
             shard = compiled.restrict_roots(mask)
-            pairs, _, _ = _assert_bit_identical(shard, 0.1, MuleStrategy)
+            pairs, _, _ = _assert_bit_identical(shard, 0.1, strategy_factory)
             merged.extend(pairs)
-        reference = list(run_search(compiled, 0.1, MuleStrategy()))
+        reference = list(run_search(compiled, 0.1, strategy_factory()))
         assert sorted(
             (tuple(sorted(c, key=repr)), p) for c, p in merged
         ) == sorted((tuple(sorted(c, key=repr)), p) for c, p in reference)
-
-    def test_parity_on_pure_fallback(self, medium_graph, monkeypatch):
-        # With numpy unimportable a freshly built form stays bit-identical.
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        compiled = compile_graph(medium_graph, alpha=0.1)
-        assert compiled.vector_form is None
-        _assert_bit_identical(compiled, 0.1, MuleStrategy)
-        assert vector_form(compiled) is compiled.vector_form
 
     def test_empty_graph(self):
         compiled = compile_graph(UncertainGraph(), alpha=0.5)

@@ -156,7 +156,12 @@ class TestCliqueRecordContract:
             assert clone == record and hash(clone) == hash(record)
             assert clone.vertices == record.vertices
             assert clone.probability == record.probability
-            assert repr(clone) == repr(record)
+            # Equal frozensets need not iterate alike after pickling, so
+            # the repr is checked field by field, not against repr(record).
+            assert repr(clone) == (
+                f"CliqueRecord(vertices={clone.vertices!r}, "
+                f"probability={record.probability!r})"
+            )
             assert clone.sort_key == record.sort_key
             assert copy.copy(record) == record
             assert copy.deepcopy(record) == record

@@ -3,22 +3,19 @@
 The vector backend must be observationally indistinguishable from the
 python kernel: same emission stream (order included), bit-identical
 probabilities, equal :class:`SearchStatistics` and equal
-:class:`RunReport` — for every supported algorithm, under run controls,
-under sharding, and with numpy unimportable.  The fixed-graph versions
-of these checks live in ``tests/core/test_backends.py``; here hypothesis
-supplies the graphs.
+:class:`RunReport` — for every supported algorithm, under run controls
+and under sharding.  The fixed-graph versions of these checks live in
+``tests/core/test_backends.py``; here hypothesis supplies the graphs.
 
-All five algorithms are covered: MULE, FAST-MULE and top-k drive the
-vector kernel directly (``fast`` shares ``MuleStrategy``), LARGE-MULE
-drives ``_drive_large``, and DFS-NOIP pins the *resolution* contract —
-``auto`` must route it to the python kernel rather than accelerating the
-from-scratch baseline.
+All five algorithms are covered: MULE, FAST-MULE, top-k and LARGE-MULE
+drive the vector kernel's one walk (``fast`` shares ``MuleStrategy``),
+and DFS-NOIP pins the *resolution* contract — ``auto`` must route it to
+the python kernel rather than accelerating the from-scratch baseline.
 """
 
 from __future__ import annotations
 
-import sys
-from unittest import mock
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -40,6 +37,20 @@ from repro.core.engine import (
 from repro.core.result import SearchStatistics
 
 from .strategies import alphas, uncertain_graphs
+
+#: Every stock strategy the vector kernel runs, for the run-control cases:
+#: each one reaches the stop checks on its own paths (LARGE-MULE's size
+#: cuts tick the check cadence too).
+FAMILY = st.sampled_from(
+    [
+        MuleStrategy,
+        partial(TopKStrategy, min_size=2),
+        partial(TopKStrategy, min_size=3),
+        partial(LargeCliqueStrategy, 2),
+        partial(LargeCliqueStrategy, 3),
+        partial(LargeCliqueStrategy, 4),
+    ]
+)
 
 RELAXED = settings(
     max_examples=40,
@@ -120,12 +131,13 @@ class TestKernelParity:
         graph=uncertain_graphs(),
         alpha=alphas,
         max_cliques=st.integers(min_value=1, max_value=6),
+        strategy=FAMILY,
     )
-    def test_max_cliques_truncation(self, graph, alpha, max_cliques):
+    def test_max_cliques_truncation(self, graph, alpha, max_cliques, strategy):
         _assert_identical(
             compile_graph(graph, alpha=alpha),
             alpha,
-            MuleStrategy,
+            strategy,
             controls=RunControls(max_cliques=max_cliques),
         )
 
@@ -134,37 +146,34 @@ class TestKernelParity:
         graph=uncertain_graphs(),
         alpha=alphas,
         check_every=st.integers(min_value=1, max_value=17),
+        strategy=FAMILY,
     )
-    def test_expired_time_budget(self, graph, alpha, check_every):
+    def test_expired_time_budget(self, graph, alpha, check_every, strategy):
         # budget=0 expires deterministically: both kernels must stop at the
         # same frame for any deadline-check cadence.
         _assert_identical(
             compile_graph(graph, alpha=alpha),
             alpha,
-            MuleStrategy,
+            strategy,
             controls=RunControls(
                 time_budget_seconds=0.0, check_every_frames=check_every
             ),
         )
 
     @RELAXED
-    @given(graph=uncertain_graphs(), alpha=alphas, mask_seed=st.integers())
-    def test_sharded_roots(self, graph, alpha, mask_seed):
+    @given(
+        graph=uncertain_graphs(),
+        alpha=alphas,
+        mask_seed=st.integers(),
+        strategy=FAMILY,
+    )
+    def test_sharded_roots(self, graph, alpha, mask_seed, strategy):
         compiled = compile_graph(graph, alpha=alpha)
         if compiled.n == 0:
             return
         mask = mask_seed & compiled.all_mask
         shard = compiled.restrict_roots(mask)
-        _assert_identical(shard, alpha, MuleStrategy)
-
-    @RELAXED
-    @given(graph=uncertain_graphs(), alpha=alphas)
-    def test_numpy_free_fallback(self, graph, alpha):
-        # The vector kernel depends on no third-party array library.
-        with mock.patch.dict(sys.modules, {"numpy": None}):
-            _assert_identical(
-                compile_graph(graph, alpha=alpha), alpha, MuleStrategy
-            )
+        _assert_identical(shard, alpha, strategy)
 
 
 class TestSessionParity:
